@@ -2,12 +2,12 @@
 // roughly what a downstream user would install. Exposes all three
 // converter instances (§III) behind one interface.
 //
-// Usage:
+// Usage (indented lines continue the command above):
 //   ngsx_convert --in data.sam --to bed --out outdir --ranks 8
 //   ngsx_convert --in data.bam --to fastq --out outdir --ranks 8
 //   ngsx_convert --in data.bam --to sam --out outdir --region chr1:1-50000
 //   ngsx_convert --in data.sam --to fasta --out outdir --preprocess --m 4
-//   ngsx_convert --in data.bam --to sam --out outdir \
+//   ngsx_convert --in data.bam --to sam --out outdir
 //       --metrics metrics.json --trace trace.json
 //
 // For SAM input, --preprocess selects the preprocessing-optimized
@@ -74,7 +74,8 @@ int usage(const char* prog) {
                "drop-dups (streaming duplicate marking). --collate-mem N\n"
                "caps in-memory records before spilling, --temp-dir DIR\n"
                "redirects spill runs, --no-orphans drops orphaned mates\n"
-               "from FASTQ export\n",
+               "from FASTQ export, --threads T sets the record-parse and\n"
+               "output BAM deflate width\n",
                prog);
   return 2;
 }

@@ -7,12 +7,12 @@
 // service issuing many small region queries amortizes it to zero here,
 // and hot shard blocks are served from an LRU byte-budget cache.
 //
-// Usage:
+// Usage (indented lines continue the command above):
 //   ngsx_serve --data shards.bamxm --baix shards.baix --socket /tmp/ngsx.sock
-//   ngsx_serve --data input.bamx --baix2 input.baix2 \
-//       --socket /tmp/ngsx.sock --cache-mb 64 --metrics-interval 5 \
+//   ngsx_serve --data input.bamx --baix2 input.baix2
+//       --socket /tmp/ngsx.sock --cache-mb 64 --metrics-interval 5
 //       --metrics-file metrics.json
-//   ngsx_serve --data input.bamx --baix input.baix \
+//   ngsx_serve --data input.bamx --baix input.baix
 //       --once "CONVERT chr1:1000-2000 sam"          # in-process, no socket
 //
 // Protocol (one request line, one response; see docs/SERVING.md):

@@ -39,15 +39,19 @@ void decode_record(std::string_view body, sam::AlignmentRecord& rec);
 /// Serializes the BAM header section (magic, text, reference dictionary).
 void encode_header(const sam::SamHeader& header, std::string& out);
 
-/// Streaming BAM writer over BGZF.
+/// Streaming BAM writer over BGZF. `threads` > 1 deflates blocks in
+/// parallel (byte-identical output; see bgzf::Writer), in which case
+/// tell() is unavailable.
 class BamFileWriter {
  public:
   BamFileWriter(const std::string& path, const sam::SamHeader& header,
-                int compression_level = 6);
+                int compression_level = 6, int threads = 1);
 
-  /// Writes one record and returns the virtual offset where it begins
-  /// (for index construction).
-  uint64_t write(const sam::AlignmentRecord& rec);
+  /// Virtual offset where the next record will begin (for index
+  /// construction). Throws UsageError when threads > 1.
+  uint64_t tell() const { return out_.tell(); }
+
+  void write(const sam::AlignmentRecord& rec);
 
   void close();
 

@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -60,7 +61,7 @@ constexpr uint32_t voffset_uoffset(uint64_t v) {
 /// per-block stream setup the free function pays. With the default zlib
 /// backend, output is byte-identical to compress_block at the same level
 /// (deflate is deterministic for fixed parameters). Not thread-safe; use
-/// one per thread (the parallel writer keeps one per worker).
+/// one per thread (the multi-threaded Writer keeps one per worker).
 class Deflater {
  public:
   explicit Deflater(int level = 6, Backend backend = Backend::kAuto);
@@ -128,11 +129,21 @@ size_t peek_block_size(std::string_view data);
 /// Inflater.
 size_t decompress_block(std::string_view block, std::string& out);
 
-/// Streaming BGZF writer: buffers appended bytes and emits full blocks.
-/// Appends the EOF marker on close().
+/// Streaming BGZF writer: buffers appended bytes, cuts them into
+/// kMaxBlockInput blocks and appends the EOF marker on close(). Output is
+/// staged and published atomically by close(); destruction without close()
+/// is a rollback.
+///
+/// `threads` > 1 deflates full blocks on an exec::Pipeline with one
+/// Deflater per pool worker, committing blocks to the file in order: the
+/// bytes are identical to `threads` = 1 (deflate is deterministic at a
+/// fixed level and the block cuts do not depend on the width), and at most
+/// a bounded window of blocks is in flight. Compressed offsets then only
+/// exist once a block commits, so tell() is a usage error there; callers
+/// that build indexes from the writer stay at one thread.
 class Writer {
  public:
-  explicit Writer(const std::string& path, int level = 6);
+  explicit Writer(const std::string& path, int level = 6, int threads = 1);
   ~Writer();
 
   Writer(const Writer&) = delete;
@@ -145,27 +156,50 @@ class Writer {
 
   /// Virtual offset where the *next* byte written will land. Flushing rules
   /// mirror BGZF semantics: the compressed offset is the file position of
-  /// the currently open block.
+  /// the currently open block. Throws UsageError when threads > 1.
   uint64_t tell() const;
 
-  /// Ends the current block (if non-empty) so that tell() moves to a fresh
-  /// block boundary; used by the BAM writer to align the header.
+  /// Ends the current block (if non-empty) so that the next byte starts a
+  /// fresh block (a sequence point in the block stream).
   void flush_block();
 
+  /// Commits every block, appends the EOF marker and publishes the file;
+  /// rethrows the first deflate/write error after rolling the file back.
+  /// Idempotent.
   void close();
 
-  /// Compressed bytes emitted so far (excludes the open block's buffer).
-  uint64_t compressed_bytes() const { return compressed_offset_; }
+  /// Compressed bytes committed to the file so far (excludes the open
+  /// block and, when threads > 1, blocks still deflating).
+  uint64_t compressed_bytes() const {
+    return compressed_offset_.load(std::memory_order_relaxed);
+  }
 
  private:
+  struct Parallel;
+
   void emit_block();
+  /// Appends one compressed block to the file (the ordered sink).
+  void commit(std::string_view block);
+  /// Joins the pipeline, if any, and discards the staging file.
+  void rollback() noexcept;
 
   std::unique_ptr<OutputFile> out_;
   std::string pending_;      // uncompressed bytes of the open block
-  std::string scratch_;      // compressed block scratch
-  uint64_t compressed_offset_ = 0;  // file offset of the open block
-  Deflater deflater_;
+  std::string scratch_;      // compressed block scratch (threads = 1)
+  // File offset of the open block; written by the pipeline's committer
+  // thread when threads > 1.
+  std::atomic<uint64_t> compressed_offset_{0};
+  std::unique_ptr<Deflater> deflater_;  // threads = 1
+  std::unique_ptr<Parallel> parallel_;  // threads > 1
   bool closed_ = false;
+};
+
+/// Writer spelled with the width first: ParallelWriter(path, threads,
+/// level) is Writer(path, level, threads).
+class ParallelWriter : public Writer {
+ public:
+  ParallelWriter(const std::string& path, int threads, int level = 6)
+      : Writer(path, level, threads) {}
 };
 
 /// The read-side BGZF contract shared by the sequential Reader and the

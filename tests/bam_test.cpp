@@ -248,7 +248,8 @@ TEST(BamFile, TellSeekToRecord) {
     for (int i = 0; i < 100; ++i) {
       AlignmentRecord rec = rich_record();
       rec.qname = "r" + std::to_string(i);
-      voffsets.push_back(w.write(rec));
+      voffsets.push_back(w.tell());
+      w.write(rec);
     }
     w.close();
   }

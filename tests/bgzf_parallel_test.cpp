@@ -1,17 +1,21 @@
-// Tests for the multi-threaded BGZF codec endpoints. Writer side:
-// byte-identical output to the sequential writer, correctness under varied
-// block/write patterns. Reader side: ParallelReader must be observationally
+// Tests for the multi-threaded BGZF codec endpoints. Writer side
+// (bgzf::Writer at threads > 1): byte-identical output to threads = 1,
+// correctness under varied block/write patterns, typed errors and
+// rollback. Reader side: ParallelReader must be observationally
 // identical to the sequential Reader — same bytes, same tell() values, same
 // FormatError messages on corrupt input — across random read()/seek()
 // interleavings and thread counts.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "formats/bgzf.h"
 #include "formats/bgzf_parallel.h"
+#include "util/iopolicy.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
 
@@ -39,7 +43,7 @@ TEST_P(ParallelThreads, ByteIdenticalToSequentialWriter) {
     w.close();
   }
   {
-    ParallelWriter w(tmp.file("par.bgzf"), GetParam());
+    Writer w(tmp.file("par.bgzf"), /*level=*/6, GetParam());
     w.write(payload);
     w.close();
   }
@@ -50,7 +54,7 @@ TEST_P(ParallelThreads, ManySmallWrites) {
   TempDir tmp;
   std::string expected;
   {
-    ParallelWriter w(tmp.file("t.bgzf"), GetParam());
+    Writer w(tmp.file("t.bgzf"), /*level=*/6, GetParam());
     Rng rng(7);
     for (int i = 0; i < 5000; ++i) {
       std::string piece = random_payload(1 + rng.below(700), 100 + i);
@@ -69,7 +73,7 @@ TEST_P(ParallelThreads, ManySmallWrites) {
 TEST_P(ParallelThreads, FlushBlockSequencePoints) {
   TempDir tmp;
   {
-    ParallelWriter w(tmp.file("t.bgzf"), GetParam());
+    Writer w(tmp.file("t.bgzf"), /*level=*/6, GetParam());
     w.write("alpha");
     w.flush_block();
     w.write("beta");
@@ -90,7 +94,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelThreads,
 TEST(ParallelWriterEdge, EmptyFile) {
   TempDir tmp;
   {
-    ParallelWriter w(tmp.file("e.bgzf"), 3);
+    Writer w(tmp.file("e.bgzf"), /*level=*/6, /*threads=*/3);
     w.close();
   }
   EXPECT_EQ(read_file(tmp.file("e.bgzf")), std::string(eof_marker()));
@@ -98,7 +102,7 @@ TEST(ParallelWriterEdge, EmptyFile) {
 
 TEST(ParallelWriterEdge, DoubleCloseIsIdempotent) {
   TempDir tmp;
-  ParallelWriter w(tmp.file("t.bgzf"), 2);
+  Writer w(tmp.file("t.bgzf"), /*level=*/6, /*threads=*/2);
   w.write("data");
   w.close();
   w.close();
@@ -109,7 +113,7 @@ TEST(ParallelWriterEdge, LargeSingleWrite) {
   TempDir tmp;
   std::string payload = random_payload(8 << 20, 9);
   {
-    ParallelWriter w(tmp.file("big.bgzf"), 4, /*level=*/1);
+    Writer w(tmp.file("big.bgzf"), /*level=*/1, /*threads=*/4);
     w.write(payload);
     w.close();
   }
@@ -120,12 +124,12 @@ TEST(ParallelWriterEdge, LargeSingleWrite) {
 }
 
 TEST(ParallelWriterEdge, BackpressureBoundsMemory) {
-  // More blocks than the in-flight cap; completion must still be exact.
+  // More blocks than the in-flight window; completion must still be exact.
   TempDir tmp;
   std::string block(kMaxBlockInput, 'x');
   {
-    ParallelWriter w(tmp.file("t.bgzf"), 2);
-    for (int i = 0; i < 200; ++i) {  // 200 blocks >> kMaxInFlight
+    Writer w(tmp.file("t.bgzf"), /*level=*/6, /*threads=*/2);
+    for (int i = 0; i < 200; ++i) {  // 200 blocks >> the window
       w.write(block);
     }
     w.close();
@@ -138,6 +142,95 @@ TEST(ParallelWriterEdge, BackpressureBoundsMemory) {
     total += got;
   }
   EXPECT_EQ(total, 200ull * kMaxBlockInput);
+}
+
+TEST(ParallelWriterEdge, AliasIsTheWriter) {
+  // ParallelWriter survives only as the (path, threads, level) spelling of
+  // Writer: same object, same bytes.
+  static_assert(std::is_base_of_v<Writer, ParallelWriter>);
+  TempDir tmp;
+  std::string payload = random_payload(300000, 11);
+  {
+    ParallelWriter w(tmp.file("alias.bgzf"), 3, /*level=*/5);
+    w.write(payload);
+    w.close();
+    EXPECT_EQ(w.compressed_bytes(), file_size(tmp.file("alias.bgzf")));
+  }
+  {
+    Writer w(tmp.file("seq.bgzf"), /*level=*/5);
+    w.write(payload);
+    w.close();
+  }
+  EXPECT_EQ(read_file(tmp.file("alias.bgzf")), read_file(tmp.file("seq.bgzf")));
+}
+
+TEST(WriterThreads, TellThrowsUsageErrorAboveOneThread) {
+  TempDir tmp;
+  Writer seq(tmp.file("seq.bgzf"), /*level=*/6, /*threads=*/1);
+  seq.write("abc");
+  EXPECT_EQ(seq.tell(), make_voffset(0, 3));
+  seq.close();
+
+  Writer par(tmp.file("par.bgzf"), /*level=*/6, /*threads=*/2);
+  par.write("abc");
+  EXPECT_THROW(par.tell(), UsageError);
+  par.close();  // the writer stays usable after the refused tell()
+  EXPECT_EQ(read_file(tmp.file("par.bgzf")), read_file(tmp.file("seq.bgzf")));
+}
+
+TEST(WriterThreads, ZeroThreadsRejectedBeforeTouchingDisk) {
+  TempDir tmp;
+  EXPECT_THROW(Writer(tmp.file("z.bgzf"), 6, 0), UsageError);
+  EXPECT_TRUE(std::filesystem::is_empty(tmp.path()));
+}
+
+TEST(WriterThreads, EnospcMidStreamIsTypedAndPublishesNothing) {
+  // The device fills while the committer thread writes compressed blocks:
+  // the producer must see the injected IoError while still writing (not
+  // only at close), and the rollback must leave neither the final file
+  // nor a staging temp behind.
+  TempDir tmp;
+  const std::string path = tmp.file("full.bgzf");
+  const std::string piece = random_payload(kMaxBlockInput, 5);
+  io::Fault fault;
+  fault.op = io::Op::kWrite;
+  fault.kind = io::FaultKind::kEnospc;
+  fault.bytes = 4096;
+  io::IoPolicy::instance().inject(path, fault);
+  bool thrown_by_write = false;
+  try {
+    Writer w(path, /*level=*/6, /*threads=*/4);
+    // 128 blocks: far more than the in-flight window past the block whose
+    // flush to the kernel fails.
+    for (int i = 0; i < 128; ++i) {
+      try {
+        w.write(piece);
+      } catch (const IoError&) {
+        thrown_by_write = true;
+        throw;
+      }
+    }
+    w.close();
+    ADD_FAILURE() << "ENOSPC never surfaced";
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("[injected fault]"),
+              std::string::npos)
+        << e.what();
+  }
+  io::IoPolicy::instance().clear();
+  EXPECT_TRUE(thrown_by_write);
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(std::filesystem::is_empty(tmp.path()))
+      << "staging file left behind";
+}
+
+TEST(WriterThreads, DestructionWithoutCloseRollsBack) {
+  TempDir tmp;
+  {
+    Writer w(tmp.file("t.bgzf"), /*level=*/6, /*threads=*/4);
+    w.write(random_payload(1 << 20, 3));
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(tmp.path()));
 }
 
 // ------------------------------------------------------------ reader side
